@@ -27,6 +27,7 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ from repro.core.simulate import (
     PREFETCH_OPS,
     TensorTimeline,
     _contributions,
+    dependency_radius,
     needs_whole_staging,
     recompute_extra,
     tensor_timeline,
@@ -133,6 +135,59 @@ class Candidate:
 
 
 @dataclass(frozen=True)
+class CandidateRow:
+    """One candidate of the persistent table, scorable at any step.
+
+    The strategy choice itself (``configs`` over ``prior``) plus what its
+    (ΔM, ΔT) at a bottleneck step ``s`` derive from:
+
+    * ΔM of a whole-tensor row is the sum of the bytes of its
+      ``windows`` covering ``s``: the committed occupancy windows minus
+      the probe's, a profile that does not depend on the step. Split
+      groups are bound to the step that generated them (``lo == hi``)
+      and carry no windows; their ΔM is :meth:`CostModel.group_delta_m`.
+    * ΔT is the in-order sum of ``parts``: (static seconds, swap inputs
+      or None). A part with swap inputs adds
+      :meth:`CostModel.swap_cost` at ``s`` to its static seconds.
+    * The row is only a candidate for ``lo <= s <= hi`` (and never for
+      the bottleneck op's own tensors, which Step 2 handles).
+
+    ``order`` is the row's position in the reference generation order
+    (:func:`row_order`), which breaks exact ties; ``deps`` are configs
+    the probe read through a recompute chain.
+    """
+
+    configs: tuple[tuple[int, TensorConfig], ...]
+    prior: tuple[tuple[int, TensorConfig], ...]
+    order: int
+    lo: int
+    hi: int
+    windows: tuple[tuple[int, int, int], ...]
+    parts: tuple[tuple[float, tuple | None], ...]
+    deps: tuple[int, ...] = ()
+
+
+def row_order(section: int, major: int, minor: int = 0) -> int:
+    """Generation-order key: Step 1 (section 0) rows by eviction-pool
+    position, then Step 2 split groups (1), then Step 2b regeneration
+    upgrades (2) by graph position; ``minor`` orders a tensor's rows."""
+    return (section << 48) | (major << 16) | minor
+
+
+def _negated(windows):
+    return tuple((start, end, -nbytes) for start, end, nbytes in windows)
+
+
+def _covering(windows, step: int) -> float:
+    """Bytes of the windows covering ``step`` (summed from 0.0, in order)."""
+    total = 0.0
+    for start, end, nbytes in windows:
+        if start <= step <= end:
+            total += nbytes
+    return total
+
+
+@dataclass(frozen=True)
 class CostModelOptions:
     """Tuning knobs of the cost model / candidate generation."""
 
@@ -156,8 +211,7 @@ def _intern_config(
 
     Candidate generation builds the same few hundred configs hundreds of
     thousands of times per planning run; interning skips the dataclass
-    construction and hash precomputation. Used only in incremental mode
-    so the reference mode keeps the pre-refactor allocation profile.
+    construction and hash precomputation.
     """
     key = (opt, p_num, dim)
     cfg = _CONFIG_INTERN.get(key)
@@ -238,15 +292,6 @@ class CostModel:
         #: RECOMPUTE contribution chain deps: tid -> read tids / inverse.
         self._contrib_deps: dict[int, tuple[int, ...]] = {}
         self._contrib_index: dict[int, set[int]] = {}
-        #: tensor id -> {probe delta key -> windows}: candidate probes
-        #: repeat across decisions (the same split ladder is re-scored at
-        #: every bottleneck), so probe-side windows are cached too, keyed
-        #: by the probe's (tid, config) delta over the committed plan.
-        self._probe_cache: dict[
-            int, dict[tuple, tuple[tuple[int, int, int], ...]],
-        ] = {}
-        self._probe_deps: dict[tuple[int, tuple], tuple[int, ...]] = {}
-        self._probe_index: dict[int, set[tuple[int, tuple]]] = {}
         # Recompute-ΔT survives across decisions: entries are invalidated
         # per-tensor through the recorded chain dependencies.
         self._rdt_cache: dict[int, float | PlanningError] = {}
@@ -258,15 +303,18 @@ class CostModel:
         #: tensor id -> break-predicate positions whose dep set holds it.
         self._break_index: dict[int, set[int]] = {}
         self._pswap_cache: dict[int, float] = {}
-        #: Step-1 eligible tensors (static filter), built lazily.
+        #: Step-1 eligible tensors (static filter) and their pool
+        #: positions, built lazily.
         self._eviction_pool: list | None = None
-        #: (bottleneck, entries) — eviction pool narrowed by the static
-        #: per-step guards; see :meth:`_nonsplit_pool_at`.
-        self._nonsplit_eligible: tuple[int, list] | None = None
-        #: Columnar (alloc, free, fwd_end, positions) arrays over the
-        #: non-persistent pool entries plus the persistent positions —
-        #: the static guards of :meth:`_nonsplit_pool_at`, vectorised.
-        self._pool_static: tuple | None = None
+        self._pool_position: dict[int, int] = {}
+        #: Step-2b pool (static filter) and tensor id -> pool position.
+        self._regen_entries: list | None = None
+        self._regen_position: dict[int, int] = {}
+        #: Tensors whose SWAP transfers the last PCIe simulation placed.
+        self._swap_tids: frozenset[int] = frozenset()
+        #: The persistent candidate table of one planning run (built
+        #: lazily by :attr:`table`, reset by a full :meth:`refresh`).
+        self._table = None
         #: (tensor id, config) -> effective split. Pure in its key for a
         #: fixed graph, so it never needs invalidation — valid across
         #: committed plans and probes alike.
@@ -276,11 +324,9 @@ class CostModel:
         #: Op id -> (outputs + inputs) tuple, in :func:`op_exec_split`'s
         #: priority order. Graph structure is immutable during planning.
         self._op_tids: dict[int, tuple[int, ...]] = {}
-        #: Committed point values at one step: every candidate of a
-        #: decision is scored at the same bottleneck, so the plan-side
-        #: window sums repeat. Cleared by refresh() and on step change.
-        self._point_step: int | None = None
-        self._point_cache: dict[int, float] = {}
+        #: (tensor id, split config) -> (split/merge copy and kernel
+        #: overhead seconds, swap inputs); pure in its key.
+        self._split_static: dict[tuple[int, TensorConfig], tuple] = {}
 
     # -- timelines ------------------------------------------------------------
 
@@ -300,14 +346,13 @@ class CostModel:
         ``changed`` names the tensors whose configs were modified since
         the previous refresh of the *same* plan object: only the ops
         adjacent to them can change execution split factor, so only those
-        schedule positions are re-timed (per-tensor invalidation). The
-        PCIe occupancy is always re-simulated — transfers queue globally,
-        but the simulation is proportional to the number of configured
-        tensors, not to the schedule. Without ``changed`` (or for a new
-        plan object) everything is rebuilt.
+        schedule positions are re-timed, and only the cached values (and
+        candidate-table rows) within the changed tensors' dependency
+        radius are dropped. The PCIe occupancy is re-simulated only when
+        an op time or the set of SWAP tensors changed: nothing else feeds
+        it. Without ``changed`` (or for a new plan object) everything is
+        rebuilt.
         """
-        self._point_step = None
-        self._point_cache.clear()
         steps = len(self.schedule)
         if changed is None or self._cached_plan is not plan:
             times = np.empty(steps)
@@ -323,9 +368,8 @@ class CostModel:
             self._windows_cache.clear()
             self._contrib_deps.clear()
             self._contrib_index.clear()
-            self._probe_cache.clear()
-            self._probe_deps.clear()
-            self._probe_index.clear()
+            self._table = None
+            retimed = True
         else:
             position = self.liveness.position
             ops: set[int] = set()
@@ -334,34 +378,55 @@ class CostModel:
                 if tensor.producer is not None:
                     ops.add(tensor.producer)
                 ops.update(tensor.consumers)
+            retimed = False
             for op_id in ops:
                 pos = position.get(op_id)
                 if pos is None:
                     continue
                 p_num = self._op_split_factor(plan, op_id)
-                self.op_times[pos] = self.profile.split_op_time(op_id, p_num)
+                op_time = self.profile.split_op_time(op_id, p_num)
+                if op_time != self.op_times[pos]:
+                    self.op_times[pos] = op_time
+                    retimed = True
                 self._exec_cache.pop(pos, None)
+            affected: set[int] = set()
             for tid in changed:
                 self._invalidate_rdt(tid)
                 for dependant in list(self._rdt_index.get(tid, ())):
                     self._invalidate_rdt(dependant)
                 for pos in self._break_index.get(tid, ()):
                     self._break_cache.pop(pos, None)
-                for victim in self._affected_tensors(tid):
+                radius, _ = dependency_radius(self.graph, tid)
+                for victim in radius:
                     self._invalidate_contrib(victim)
                 for dependant in list(self._contrib_index.get(tid, ())):
                     self._invalidate_contrib(dependant)
-                for entry in list(self._probe_index.get(tid, ())):
-                    entry_tid, entry_key = entry
-                    per_tensor = self._probe_cache.get(entry_tid)
-                    if per_tensor is not None:
-                        per_tensor.pop(entry_key, None)
-                    self._drop_probe_deps(entry)
+                affected |= radius
+            if self._table is not None:
+                self._table.invalidate(changed, affected)
+            swaps_moved = any(
+                (tid in self._swap_tids)
+                != (plan.config_for(tid).opt is MemOption.SWAP)
+                for tid in changed
+            )
+            if not retimed and not swaps_moved:
+                return
         begin = np.zeros(steps + 1)
         np.cumsum(self.op_times, out=begin[1:])
         self.op_begin = begin
         self._simulate_pcie(plan)
         self._cached_plan = plan
+
+    @property
+    def table(self):
+        """The persistent candidate table for the committed plan
+        (incremental mode; see :class:`~repro.core.candidate_table.
+        CandidateTable`)."""
+        if self._table is None:
+            from repro.core.candidate_table import CandidateTable
+
+            self._table = CandidateTable(self)
+        return self._table
 
     def _invalidate_rdt(self, tid: int) -> None:
         self._rdt_cache.pop(tid, None)
@@ -376,41 +441,14 @@ class CostModel:
             dependants = self._contrib_index.get(dep)
             if dependants is not None:
                 dependants.discard(tid)
-        per_tensor = self._probe_cache.pop(tid, None)
-        if per_tensor:
-            for key in per_tensor:
-                self._drop_probe_deps((tid, key))
 
-    def _drop_probe_deps(self, entry: tuple[int, tuple]) -> None:
-        for dep in self._probe_deps.pop(entry, ()):
-            entries = self._probe_index.get(dep)
-            if entries is not None:
-                entries.discard(entry)
-
-    def _affected_tensors(self, tensor_id: int) -> set[int]:
-        """Tensors whose point contribution may read ``tensor_id``'s config.
-
-        Mirrors :meth:`repro.core.simulate.MemoryCurve._affected`: the
-        tensor itself, every tensor sharing an op with it (exec splits at
-        adjacent positions), and every tensor adjacent to a consumer of
-        an output of an adjacent op (the whole-staging predicate's
-        producer lookback). Chain dependants are tracked separately.
-        """
-        graph = self.graph
-        tensor = graph.tensors[tensor_id]
-        first_ops: set[int] = set(tensor.consumers)
-        if tensor.producer is not None:
-            first_ops.add(tensor.producer)
-        ops = set(first_ops)
-        for op_id in first_ops:
-            for out in graph.ops[op_id].outputs:
-                ops.update(graph.tensors[out].consumers)
-        tensors: set[int] = {tensor_id}
-        for op_id in ops:
-            op = graph.ops[op_id]
-            tensors.update(op.inputs)
-            tensors.update(op.outputs)
-        return tensors
+    def chain_deps(self, tensor_id: int) -> tuple[int, ...]:
+        """Configs the tensor's cached committed windows and recompute ΔT
+        read through recompute chains (beyond the structural radius)."""
+        return (
+            self._contrib_deps.get(tensor_id, ())
+            + self._rdt_deps.get(tensor_id, ())
+        )
 
     def _op_split_factor(self, plan: Plan, op_id: int) -> int:
         split = op_exec_split(self.graph, plan, self.graph.ops[op_id])
@@ -430,12 +468,14 @@ class CostModel:
         busy_h2d = np.zeros(steps)
         out_requests: list[tuple[float, float]] = []  # (ready_time, duration)
         in_requests: list[tuple[float, float]] = []
+        swap_tids: list[int] = []
         for tid, cfg in plan.configs.items():
             if cfg.opt is not MemOption.SWAP:
                 continue
             timeline = self.timeline(tid)
             if timeline is None:
                 continue
+            swap_tids.append(tid)
             tensor = self.graph.tensors[tid]
             duration = self.profile.transfer_time(tensor.size_bytes)
             out_ready = self.op_begin[min(timeline.fwd_end + 1, steps)]
@@ -444,14 +484,18 @@ class CostModel:
                 start_pos = max(0, timeline.bwd_uses[0] - self.options.prefetch_ops)
                 in_requests.append((self.op_begin[start_pos], duration))
 
+        self._swap_tids = frozenset(swap_tids)
         for requests, busy in ((out_requests, busy_d2h), (in_requests, busy_h2d)):
             requests.sort()
+            starts = np.empty(len(requests))
+            ends = np.empty(len(requests))
             clock = 0.0
-            for ready, duration in requests:
+            for i, (ready, duration) in enumerate(requests):
                 start = max(clock, ready)
-                end = start + duration
-                clock = end
-                self._mark_busy(busy, start, end)
+                clock = start + duration
+                starts[i] = start
+                ends[i] = clock
+            self._mark_busy(busy, starts, ends)
 
         durations = self.op_times
         idle_d2h = np.maximum(durations - busy_d2h, 0.0)
@@ -459,19 +503,37 @@ class CostModel:
         self._idle_d2h = np.concatenate(([0.0], np.cumsum(idle_d2h)))
         self._idle_h2d = np.concatenate(([0.0], np.cumsum(idle_h2d)))
 
-    def _mark_busy(self, busy: np.ndarray, start: float, end: float) -> None:
-        """Distribute a transfer interval over per-op busy accumulators."""
+    def _mark_busy(
+        self, busy: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+    ) -> None:
+        """Distribute serial transfer intervals over per-op accumulators.
+
+        Interval ``i`` covers the ops from the one running at
+        ``starts[i]`` up to the last one beginning before ``ends[i]``;
+        each op receives the overlap. The overlaps are added with one
+        unbuffered ``np.add.at`` in request order, so every ``busy[pos]``
+        sums the same floats in the same order as a per-request loop.
+        """
+        if not len(starts):
+            return
         begin = self.op_begin
         steps = len(busy)
-        lo = int(np.searchsorted(begin, start, side="right") - 1)
-        lo = max(0, min(lo, steps - 1))
-        pos = lo
-        while pos < steps and begin[pos] < end:
-            seg_start = max(start, begin[pos])
-            seg_end = min(end, begin[pos + 1])
-            if seg_end > seg_start:
-                busy[pos] += seg_end - seg_start
-            pos += 1
+        lo = np.searchsorted(begin, starts, side="right") - 1
+        np.clip(lo, 0, steps - 1, out=lo)
+        hi = np.searchsorted(begin[:steps], ends, side="left")
+        counts = np.maximum(hi - lo, 0)
+        total = int(counts.sum())
+        if not total:
+            return
+        request = np.repeat(np.arange(len(starts)), counts)
+        offset = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        pos = lo[request] + offset
+        seg = (
+            np.minimum(ends[request], begin[pos + 1])
+            - np.maximum(starts[request], begin[pos])
+        )
+        keep = seg > 0
+        np.add.at(busy, pos[keep], seg[keep])
 
     # -- idle-capacity queries ------------------------------------------------
 
@@ -497,16 +559,59 @@ class CostModel:
         """Equation 3: un-hidable part of swap-out + swap-in transfers."""
         timeline = self.timeline(tensor.tensor_id)
         assert timeline is not None
+        return self.swap_cost(self._swap_inputs(tensor, timeline), bottleneck)
+
+    def _swap_inputs(
+        self,
+        tensor: TensorSpec,
+        timeline: TensorTimeline,
+        p_num: int | None = None,
+    ) -> tuple[float, float, float, int, int]:
+        """Step-independent inputs of a swap's ΔT: (transfer, swap-out
+        pipeline credit, swap-in pipeline credit, first swap-out
+        position, first backward use or -1).
+
+        ``p_num`` names a micro-tensor swap, whose transfers overlap the
+        split producer's and backward consumer's own pipelined execution
+        (Equation 6); a whole-tensor swap gets no credit (Equation 3).
+        """
         transfer = self.profile.transfer_time(tensor.size_bytes)
+        pipeline = back_pipeline = 0.0
+        if p_num is not None and tensor.producer is not None:
+            pipeline = (
+                self.profile.split_op_time(tensor.producer, p_num)
+                * (p_num - 1) / p_num
+            )
+        first_bwd = timeline.bwd_uses[0] if timeline.bwd_uses else -1
+        if p_num is not None and first_bwd >= 0:
+            back_pipeline = (
+                self.profile.split_op_time(self.schedule[first_bwd], p_num)
+                * (p_num - 1) / p_num
+            )
+        return (
+            transfer, pipeline, back_pipeline, timeline.fwd_end + 1,
+            first_bwd,
+        )
+
+    def swap_cost(
+        self, swap: tuple[float, float, float, int, int], bottleneck: int,
+    ) -> float:
+        """Un-hidable seconds of one swap (see :meth:`_swap_inputs`) when
+        it relieves ``bottleneck``: the swap-out must hide in the idle D2H
+        time before the bottleneck, the swap-in in the idle H2D time of
+        its prefetch window after it."""
+        transfer, pipeline, back_pipeline, out_lo, first_bwd = swap
         out_cost = max(
-            transfer - self.idle_d2h(timeline.fwd_end + 1, bottleneck - 1),
-            0.0,
+            transfer - pipeline - self.idle_d2h(out_lo, bottleneck - 1), 0.0,
         )
         in_cost = 0.0
-        if timeline.bwd_uses:
-            q = timeline.bwd_uses[0]
-            window_lo = max(bottleneck, q - self.options.prefetch_ops)
-            in_cost = max(transfer - self.idle_h2d(window_lo, q - 1), 0.0)
+        if first_bwd >= 0:
+            window_lo = max(bottleneck, first_bwd - self.options.prefetch_ops)
+            in_cost = max(
+                transfer - back_pipeline
+                - self.idle_h2d(window_lo, first_bwd - 1),
+                0.0,
+            )
         return out_cost + in_cost
 
     def recompute_delta_t(self, tensor: TensorSpec, plan: Plan) -> float:
@@ -563,62 +668,54 @@ class CostModel:
         bottleneck: int,
     ) -> float:
         """Equation 6: micro-tensor memory cost + split kernel overheads."""
-        timeline = self.timeline(tensor.tensor_id)
-        assert timeline is not None
-        p_num = cfg.p_num
-        producer = tensor.producer
+        static, swap = self._split_part(tensor, cfg, plan)
+        if swap is None:
+            return static
+        return self.swap_cost(swap, bottleneck) + static
 
-        # (1) micro-tensor swap/recompute cost, overlappable with the
-        # split op's own pipelined execution. RESIDE+split (streaming
-        # free at the last consumer) moves no bytes at all.
-        if cfg.opt is MemOption.RESIDE:
-            memory_cost = 0.0
-        elif cfg.opt is MemOption.SWAP:
-            transfer = self.profile.transfer_time(tensor.size_bytes)
-            pipeline = 0.0
-            if producer is not None:
-                pipeline = (
-                    self.profile.split_op_time(producer, p_num)
-                    * (p_num - 1) / p_num
-                )
-            out_cost = max(
-                transfer
-                - pipeline
-                - self.idle_d2h(timeline.fwd_end + 1, bottleneck - 1),
-                0.0,
+    def _split_part(
+        self, tensor: TensorSpec, cfg: TensorConfig, plan: Plan,
+    ) -> tuple[float, tuple | None]:
+        """One split member's ΔT as (static seconds, swap inputs or None).
+
+        (1) The micro-tensor memory cost: RESIDE+split (streaming free at
+        the last consumer) moves no bytes, a recompute costs its chain,
+        and a swap is overlappable with the split ops' own pipelined
+        execution (step-dependent, so returned as swap inputs). (2) + (3)
+        The split/merge copies and kernel degradation.
+        """
+        key = (tensor.tensor_id, cfg)
+        static = self._split_static.get(key)
+        if static is None:
+            static = self._split_static[key] = (
+                self._split_overhead(tensor, cfg),
+                self._swap_inputs(tensor, self.timeline(tensor.tensor_id),
+                                  cfg.p_num)
+                if cfg.opt is MemOption.SWAP else None,
             )
-            in_cost = 0.0
-            if timeline.bwd_uses:
-                q = timeline.bwd_uses[0]
-                consumer = self.schedule[q]
-                back_pipeline = (
-                    self.profile.split_op_time(consumer, p_num)
-                    * (p_num - 1) / p_num
-                )
-                window_lo = max(bottleneck, q - self.options.prefetch_ops)
-                in_cost = max(
-                    transfer - back_pipeline - self.idle_h2d(window_lo, q - 1),
-                    0.0,
-                )
-            memory_cost = out_cost + in_cost
-        else:
-            memory_cost = self.recompute_delta_t(tensor, plan)
+        overhead, swap = static
+        if swap is not None:
+            return overhead, swap
+        if cfg.opt is MemOption.RESIDE:
+            return overhead, None
+        return self.recompute_delta_t(tensor, plan) + overhead, None
 
-        # (2) + (3) split/merge copies and kernel degradation.
+    def _split_overhead(self, tensor: TensorSpec, cfg: TensorConfig) -> float:
+        """Split/merge copy and kernel-degradation seconds of a split."""
         overhead = 0.0
         adjacent_ops: set[int] = set()
-        if producer is not None:
-            adjacent_ops.add(producer)
+        if tensor.producer is not None:
+            adjacent_ops.add(tensor.producer)
         adjacent_ops.update(tensor.consumers)
         for op_id in adjacent_ops:
             op = self.graph.ops[op_id]
             if op_supports_split(op.op_type, cfg.dim):
-                overhead += self.profile.split_overhead(op_id, p_num)
+                overhead += self.profile.split_overhead(op_id, cfg.p_num)
             else:
                 # Consumer/producer cannot run split: materialise a merge
                 # (or split) copy of the full tensor.
                 overhead += self.profile.memcpy_time(tensor.size_bytes)
-        return memory_cost + overhead
+        return overhead
 
     # -- ΔM at the bottleneck ----------------------------------------------------
 
@@ -736,105 +833,83 @@ class CostModel:
             )
         return cache[pos]
 
+    def windows(
+        self,
+        tensor: TensorSpec,
+        plan: Plan,
+        changed: frozenset[int] | None = None,
+        deps: set[int] | None = None,
+    ) -> tuple[tuple[int, int, int], ...]:
+        """(start, end, bytes) occupancy windows of ``tensor`` under ``plan``.
+
+        Mirrors :func:`repro.core.simulate._contributions` — including
+        the recompute-chain transient and the streaming-region rules.
+        Windows of the committed plan are cached per tensor until
+        :meth:`refresh` drops them; probe plans pass ``changed`` (the
+        probe's modified tensor ids) so the point predicates can reuse
+        committed results where their dependency sets are untouched.
+        ``deps``, when given, receives the configs the windows read
+        through a recompute chain.
+        """
+        tid = tensor.tensor_id
+        committed = self.caching and plan is self._cached_plan
+        if committed:
+            windows = self._windows_cache.get(tid)
+            if windows is not None:
+                if deps is not None:
+                    deps.update(self._contrib_deps.get(tid, ()))
+                return windows
+        timeline = self.timeline(tid)
+        if timeline is None:
+            return ()
+        cfg = plan.config_for(tid)
+        if cfg.is_split:
+            split = (
+                self._esplit(tensor, cfg) if self.caching
+                else effective_split(self.graph, plan, tensor)
+            )
+            if split is None:
+                cfg = (
+                    _intern_config(cfg.opt) if self.caching
+                    else TensorConfig(opt=cfg.opt)
+                )
+        chain_extra = 0
+        chain_deps: set[int] | None = None
+        if cfg.opt is MemOption.RECOMPUTE:
+            chain_deps = set() if committed or deps is not None else None
+            chain_extra = recompute_extra(
+                self.graph, plan, self.liveness.free_step, tensor,
+                timeline, deps=chain_deps,
+            )
+            if chain_deps is not None:
+                chain_deps.discard(tid)
+        windows = tuple(_contributions(
+            self.graph, tensor, timeline, cfg, len(self.schedule) - 1,
+            chain_extra,
+            lambda pos: self._exec_split_at(plan, pos, changed),
+            lambda pos: self._breaks_at(plan, pos, changed),
+        ))
+        if chain_deps:
+            if committed:
+                self._contrib_deps[tid] = tuple(chain_deps)
+                for dep in chain_deps:
+                    self._contrib_index.setdefault(dep, set()).add(tid)
+            if deps is not None:
+                deps |= chain_deps
+        if committed:
+            self._windows_cache[tid] = windows
+        return windows
+
     def contribution(
         self,
         tensor: TensorSpec,
         plan: Plan,
         step: int,
         changed: frozenset[int] | None = None,
-        probe_key: tuple | None = None,
     ) -> float:
-        """Bytes ``tensor`` occupies at ``step`` under ``plan``.
-
-        Mirrors :func:`repro.core.simulate._contributions` — including
-        the recompute-chain transient and the streaming-region rules —
-        evaluated point-wise so candidates can be scored without a full
-        curve recomputation. Evaluations against the committed plan are
-        cached per (tensor, step) until the next :meth:`refresh`; probe
-        evaluations pass ``changed`` (the probe's modified tensor ids) so
-        the point predicates can reuse committed results where their
-        dependency sets are untouched.
-        """
-        tid = tensor.tensor_id
-        committed = self.caching and plan is self._cached_plan
-        cacheable_probe = (
-            self.caching and not committed and changed is not None
-            and self._cached_plan is not None
-        )
-        if committed:
-            if self._point_step != step:
-                self._point_step = step
-                self._point_cache.clear()
-            else:
-                point = self._point_cache.get(tid)
-                if point is not None:
-                    return point
-        windows: tuple[tuple[int, int, int], ...] | None = None
-        if committed:
-            windows = self._windows_cache.get(tid)
-        elif cacheable_probe:
-            if probe_key is None:
-                probe_key = tuple(
-                    (cid, plan.config_for(cid)) for cid in sorted(changed)
-                )
-            per_tensor = self._probe_cache.get(tid)
-            if per_tensor is not None:
-                windows = per_tensor.get(probe_key)
-
-        if windows is None:
-            timeline = self.timeline(tid)
-            if timeline is None:
-                if committed:
-                    self._point_cache[tid] = 0.0
-                return 0.0
-            cfg = plan.config_for(tid)
-            if cfg.is_split:
-                split = (
-                    self._esplit(tensor, cfg) if self.caching
-                    else effective_split(self.graph, plan, tensor)
-                )
-                if split is None:
-                    cfg = (
-                        _intern_config(cfg.opt) if self.caching
-                        else TensorConfig(opt=cfg.opt)
-                    )
-            chain_extra = 0
-            deps: set[int] | None = None
-            if cfg.opt is MemOption.RECOMPUTE:
-                deps = set() if committed or cacheable_probe else None
-                chain_extra = recompute_extra(
-                    self.graph, plan, self.liveness.free_step, tensor,
-                    timeline, deps=deps,
-                )
-                if deps is not None:
-                    deps.discard(tid)
-            windows = tuple(_contributions(
-                self.graph, tensor, timeline, cfg, len(self.schedule) - 1,
-                chain_extra,
-                lambda pos: self._exec_split_at(plan, pos, changed),
-                lambda pos: self._breaks_at(plan, pos, changed),
-            ))
-            if committed:
-                self._windows_cache[tid] = windows
-                if deps:
-                    self._contrib_deps[tid] = tuple(deps)
-                    for dep in deps:
-                        self._contrib_index.setdefault(dep, set()).add(tid)
-            elif cacheable_probe:
-                self._probe_cache.setdefault(tid, {})[probe_key] = windows
-                if deps:
-                    entry = (tid, probe_key)
-                    self._probe_deps[entry] = tuple(deps)
-                    for dep in deps:
-                        self._probe_index.setdefault(dep, set()).add(entry)
-
-        total = 0.0
-        for start, end, nbytes in windows:
-            if start <= step <= end:
-                total += nbytes
-        if committed:
-            self._point_cache[tid] = total
-        return total
+        """Bytes ``tensor`` occupies at ``step`` under ``plan`` (the sum
+        of its :meth:`windows` covering ``step``)."""
+        return _covering(self.windows(tensor, plan, changed), step)
 
     def group_delta_m(
         self,
@@ -842,40 +917,62 @@ class CostModel:
         plan: Plan,
         probe: Plan,
         step: int,
+        deps: set[int] | None = None,
     ) -> float:
         """Memory reduction at ``step`` from applying a config group.
 
-        ``probe`` must already contain the group's configs. Includes the
-        workspace shrink of the op executing at ``step``.
+        ``probe`` must hold exactly the group's configs over ``plan``.
+        Includes the workspace shrink of the op executing at ``step``.
+        ``deps``, when given, receives the configs the committed and
+        probe windows read through recompute chains.
         """
         changed = frozenset(tensor.tensor_id for tensor, _ in members)
-        probe_key = tuple(
-            (cid, probe.config_for(cid)) for cid in sorted(changed)
-        ) if self.caching else None
         reduction = 0.0
-        contribution = self.contribution
+        windows = self.windows
         for tensor, _ in members:
-            reduction += contribution(tensor, plan, step)
-            reduction -= contribution(
-                tensor, probe, step, changed=changed, probe_key=probe_key,
-            )
+            reduction += _covering(windows(tensor, plan, deps=deps), step)
+            reduction -= _covering(windows(tensor, probe, changed, deps), step)
+        return reduction + self._workspace_shrink(plan, probe, step, changed)
+
+    def group_delta_m_bound(
+        self,
+        members: list[tuple[TensorSpec, TensorConfig]],
+        plan: Plan,
+        step: int,
+    ) -> float:
+        """Upper bound of :meth:`group_delta_m` without a probe: the
+        members' committed bytes at ``step`` plus the whole workspace
+        share of its op (probe windows hold no negative bytes, and the
+        float operations are monotone)."""
+        bound = 0.0
+        for tensor, _ in members:
+            bound += _covering(self.windows(tensor, plan), step)
         op = self.graph.ops[self.schedule[step]]
         if op.workspace_bytes:
-            old_split = self._exec_split_at(plan, step)
-            new_split = self._exec_split_at(probe, step, changed=changed)
-            old_p = old_split[1] if old_split else 1
-            new_p = new_split[1] if new_split else 1
-            reduction += op.workspace_bytes * (1 / old_p - 1 / new_p)
-        return reduction
+            split = self._exec_split_at(plan, step)
+            bound += op.workspace_bytes * (1 / (split[1] if split else 1))
+        return bound
+
+    def _workspace_shrink(
+        self, plan: Plan, probe: Plan, step: int, changed: frozenset[int],
+    ) -> float:
+        """Workspace bytes freed at ``step`` when ``probe`` splits its op
+        further than ``plan`` does (0.0 for ops without workspace)."""
+        op = self.graph.ops[self.schedule[step]]
+        if not op.workspace_bytes:
+            return 0.0
+        old_split = self._exec_split_at(plan, step)
+        new_split = self._exec_split_at(probe, step, changed=changed)
+        old_p = old_split[1] if old_split else 1
+        new_p = new_split[1] if new_split else 1
+        return op.workspace_bytes * (1 / old_p - 1 / new_p)
 
     # -- candidate generation -------------------------------------------------
 
     def _eviction_candidates(self):
         """Yield Step-1-eligible tensors: the size, kind and lifetime
         guards depend only on the graph, never on the plan or the
-        bottleneck, so incremental mode materialises this once
-        (``_eviction_pool``) instead of re-filtering every tensor on
-        every decision."""
+        bottleneck."""
         persistent_kinds = (
             TensorKind.PARAM, TensorKind.OPTIMIZER_STATE,
             TensorKind.GRAD_PARAM,
@@ -929,75 +1026,35 @@ class CostModel:
         self._pswap_cache[tid] = value
         return value
 
-    def _nonsplit_pool_at(self, bottleneck: int) -> list:
-        """Step-1 victims whose *static* guards pass at ``bottleneck``.
-
-        The exclusion set, persistent-use coverage and activation
-        lifetime-window checks depend only on the graph and the
-        bottleneck step — never on the plan — and a bottleneck persists
-        across many consecutive decisions, so incremental mode filters
-        the eviction pool once per bottleneck step instead of once per
-        decision. Entries are (tensor, timeline, persistent) in graph
-        order (candidate order must match the reference loop exactly).
-        """
-        cached = self._nonsplit_eligible
-        if cached is not None and cached[0] == bottleneck:
-            return cached[1]
-        current_op = self.graph.ops[self.schedule[bottleneck]]
-        excluded = set(current_op.inputs) | set(current_op.outputs)
-        if self._eviction_pool is None:
-            self._eviction_pool = list(self._eviction_candidates())
-        pool = self._eviction_pool
-        if self._pool_static is None:
-            nonp = [i for i, entry in enumerate(pool) if not entry[2]]
-            self._pool_static = (
-                np.fromiter(
-                    (pool[i][1].alloc for i in nonp), np.int64, len(nonp),
-                ),
-                np.fromiter(
-                    (pool[i][1].free for i in nonp), np.int64, len(nonp),
-                ),
-                np.fromiter(
-                    (pool[i][1].fwd_end for i in nonp), np.int64, len(nonp),
-                ),
-                np.asarray(nonp, dtype=np.intp),
-                [i for i, entry in enumerate(pool) if entry[2]],
-            )
-        alloc, free, fwd_end, nonp_pos, pers_pos = self._pool_static
-        # Activation lifetime windows, all entries at once.
-        keep = nonp_pos[
-            (alloc < bottleneck) & (free > bottleneck)
-            & (fwd_end < bottleneck)
-        ].tolist()
-        if self.options.allow_swap:
-            for i in pers_pos:
-                tensor, timeline, _ = pool[i]
-                covered = any(
-                    use - 1 <= bottleneck <= use
-                    for use in timeline.use_positions
-                )
-                if tensor.kind is TensorKind.GRAD_PARAM:
-                    covered = covered or timeline.alloc == bottleneck
-                if not covered:
-                    keep.append(i)
-            keep.sort()
-        eligible = [
-            pool[i] for i in keep
-            if pool[i][0].tensor_id not in excluded
+    def _evict_options(self) -> list[MemOption]:
+        """Whole-tensor eviction options Step 1 proposes, in order."""
+        return [
+            option for option, allowed in (
+                (MemOption.SWAP, self.options.allow_swap),
+                (MemOption.RECOMPUTE, self.options.allow_recompute),
+            ) if allowed
         ]
-        self._nonsplit_eligible = (bottleneck, eligible)
-        return eligible
 
     def nonsplit_candidates(
-        self, bottleneck: int, plan: Plan,
-    ) -> list[Candidate]:
-        """Step 1 of Algorithm 2: swap/recompute for live resident tensors."""
-        if self.caching:
-            return self._nonsplit_candidates_pooled(bottleneck, plan)
+        self,
+        bottleneck: int,
+        plan: Plan,
+        *,
+        rows: bool = False,
+        tensors: Iterable[int] | None = None,
+    ) -> list[Candidate] | list[CandidateRow]:
+        """Step 1 of Algorithm 2: swap/recompute for live resident tensors.
+
+        ``rows=True`` returns the candidate table's step-independent
+        :class:`CandidateRow` objects for the eviction-pool members among
+        ``tensors`` (all of them when None) instead of the candidates
+        scored at ``bottleneck``.
+        """
+        if rows:
+            return self._nonsplit_rows(plan, tensors)
         current_op = self.graph.ops[self.schedule[bottleneck]]
         excluded = set(current_op.inputs) | set(current_op.outputs)
         candidates: list[Candidate] = []
-        make_cfg = TensorConfig
         configs = plan.configs
         reside = MemOption.RESIDE
         for tensor, timeline, persistent in self._eviction_candidates():
@@ -1026,7 +1083,7 @@ class CostModel:
                     covered = covered or timeline.alloc == bottleneck
                 if covered:
                     continue
-                new_cfg = make_cfg(opt=MemOption.SWAP)
+                new_cfg = _intern_config(MemOption.SWAP)
                 candidates.append(Candidate(
                     ((tid, new_cfg),), float(tensor.size_bytes),
                     self.persistent_swap_delta_t(tensor),
@@ -1039,15 +1096,8 @@ class CostModel:
                 continue  # about to be freed anyway
             if timeline.fwd_end >= bottleneck:
                 continue  # still needed in the forward region around here
-            for option in (MemOption.SWAP, MemOption.RECOMPUTE):
-                if option is MemOption.SWAP and not self.options.allow_swap:
-                    continue
-                if (
-                    option is MemOption.RECOMPUTE
-                    and not self.options.allow_recompute
-                ):
-                    continue
-                new_cfg = make_cfg(opt=option, p_num=cfg.p_num, dim=cfg.dim)
+            for option in self._evict_options():
+                new_cfg = _intern_config(option, cfg.p_num, cfg.dim)
                 probe = self._probe(plan, {tid: new_cfg})
                 dm = self.group_delta_m(
                     [(tensor, new_cfg)], plan, probe, bottleneck,
@@ -1068,74 +1118,84 @@ class CostModel:
                 ))
         return candidates
 
-    def _nonsplit_candidates_pooled(
-        self, bottleneck: int, plan: Plan,
-    ) -> list[Candidate]:
-        """Incremental-mode Step 1: same candidates as
-        :meth:`nonsplit_candidates`, enumerated from the per-bottleneck
-        static pool so only the plan-dependent guards run per decision."""
-        candidates: list[Candidate] = []
-        configs = plan.configs
-        reside = MemOption.RESIDE
-        swap_cfg = _intern_config(MemOption.SWAP)
-        option_order = [
-            option for option, allowed in (
-                (MemOption.SWAP, self.options.allow_swap),
-                (MemOption.RECOMPUTE, self.options.allow_recompute),
-            ) if allowed
-        ]
-        for tensor, timeline, persistent in self._nonsplit_pool_at(bottleneck):
+    def _nonsplit_rows(
+        self, plan: Plan, tensors: Iterable[int] | None,
+    ) -> list[CandidateRow]:
+        """Step-1 rows: the bottleneck guards become the row's eligible
+        step range (activations: after the last forward use, before the
+        free) and, for persistent tensors, negative ΔM windows over the
+        use windows that would cover a bottleneck."""
+        pool = self._nonsplit_pool()
+        if tensors is None:
+            indices: Iterable[int] = range(len(pool))
+        else:
+            position = self._pool_position
+            indices = sorted(position[t] for t in tensors if t in position)
+        last = len(self.schedule) - 1
+        options = self._evict_options()
+        rows: list[CandidateRow] = []
+        for index in indices:
+            tensor, timeline, persistent = pool[index]
             tid = tensor.tensor_id
-            cfg = configs.get(tid, RESIDE)
-            if cfg.opt is not reside:
-                continue  # already evicted; upgrades happen via split path
+            cfg = plan.config_for(tid)
+            if cfg.opt is not MemOption.RESIDE:
+                continue
             if persistent:
-                candidates.append(Candidate(
-                    ((tid, swap_cfg),), float(tensor.size_bytes),
-                    self.persistent_swap_delta_t(tensor),
-                    prior=((tid, cfg),),
+                if not self.options.allow_swap:
+                    continue
+                size = tensor.size_bytes
+                profile = [(0, last, size)]
+                profile.extend(
+                    (use - 1, use, -size) for use in timeline.use_positions
+                )
+                if tensor.kind is TensorKind.GRAD_PARAM:
+                    profile.append((timeline.alloc, timeline.alloc, -size))
+                rows.append(CandidateRow(
+                    ((tid, _intern_config(MemOption.SWAP)),), ((tid, cfg),),
+                    row_order(0, index), 0, last, tuple(profile),
+                    ((self.persistent_swap_delta_t(tensor), None),),
                 ))
                 continue
-            for option in option_order:
+            lo, hi = timeline.fwd_end + 1, timeline.free - 1
+            if lo > hi:
+                continue
+            committed = self.windows(tensor, plan)
+            only = frozenset((tid,))
+            for minor, option in enumerate(options):
                 new_cfg = _intern_config(option, cfg.p_num, cfg.dim)
-                probe = _ProbePlan(plan, {tid: new_cfg})
-                dm = self.group_delta_m(
-                    [(tensor, new_cfg)], plan, probe, bottleneck,
+                deps: set[int] = set()
+                probe = self.windows(
+                    tensor, _ProbePlan(plan, {tid: new_cfg}), only, deps,
                 )
-                if dm <= 0:
-                    continue
-                try:
-                    dt = (
-                        self.swap_delta_t(tensor, bottleneck)
-                        if option is MemOption.SWAP
-                        else self.recompute_delta_t(tensor, plan)
-                    )
-                except PlanningError:
-                    continue
-                candidates.append(Candidate(
-                    ((tid, new_cfg),), dm, dt,
-                    prior=((tid, cfg),),
+                if option is MemOption.SWAP:
+                    part = (0.0, self._swap_inputs(tensor, timeline))
+                else:
+                    try:
+                        part = (self.recompute_delta_t(tensor, plan), None)
+                    except PlanningError:
+                        continue
+                rows.append(CandidateRow(
+                    ((tid, new_cfg),), ((tid, cfg),),
+                    row_order(0, index, minor), lo, hi,
+                    committed + _negated(probe), (part,), deps=tuple(deps),
                 ))
-        return candidates
+        return rows
 
-    def split_candidates(
-        self, bottleneck: int, plan: Plan,
-    ) -> list[Candidate]:
-        """Step 2 of Algorithm 2: split the bottleneck op's tensors.
+    def _nonsplit_pool(self) -> list:
+        """The eviction pool as a list, with tensor id -> pool position."""
+        if self._eviction_pool is None:
+            self._eviction_pool = list(self._eviction_candidates())
+            self._pool_position = {
+                entry[0].tensor_id: index
+                for index, entry in enumerate(self._eviction_pool)
+            }
+        return self._eviction_pool
 
-        Splitting an operation splits its tensors *together*: a group
-        candidate aligns every eligible input/output of the bottleneck op
-        to one (dim, p_num), which is what lets the augmenter form a
-        coherent streaming region (mismatched part counts would force
-        merges and destroy the reuse the split is meant to buy).
-        """
-        if not self.options.allow_split:
-            return []
+    def split_window(self, bottleneck: int) -> list:
+        """The bottleneck op plus the chained neighbour ops Step 2 splits
+        with it: their shared tensors land in the same group, so the
+        streaming region extends across them with one (dim, p_num)."""
         current_op = self.graph.ops[self.schedule[bottleneck]]
-        candidates: list[Candidate] = []
-        # One-hop window: include the chained neighbour ops so their
-        # shared tensors land in the same group and the streaming region
-        # extends across them with one coherent (dim, p_num).
         window_ops = [current_op]
         if bottleneck + 1 < len(self.schedule):
             nxt = self.graph.ops[self.schedule[bottleneck + 1]]
@@ -1145,13 +1205,20 @@ class CostModel:
             prv = self.graph.ops[self.schedule[bottleneck - 1]]
             if set(prv.outputs) & set(current_op.inputs):
                 window_ops.append(prv)
+        return window_ops
+
+    def _split_groups(self, bottleneck: int, plan: Plan):
+        """Yield Step 2's split groups at ``bottleneck`` in generation
+        order: member lists that change at least one committed config."""
+        current_op = self.graph.ops[self.schedule[bottleneck]]
+        window_ops = self.split_window(bottleneck)
         eligible_map: dict[int, TensorSpec] = {}
         for op in window_ops:
             for tensor in self._split_eligible(op, plan):
                 eligible_map[tensor.tensor_id] = tensor
         eligible = list(eligible_map.values())
         if not eligible:
-            return []
+            return
         touching: dict[int, list] = {
             t.tensor_id: [
                 op for op in window_ops
@@ -1159,6 +1226,7 @@ class CostModel:
             ]
             for t in eligible
         }
+        evict_options = self._evict_options() or [MemOption.RESIDE]
         for dim in (DIM_SAMPLE, DIM_PARAMETER, DIM_ATTRIBUTE):
             if not op_supports_split(current_op.op_type, dim):
                 continue
@@ -1175,13 +1243,6 @@ class CostModel:
             ]
             if not group_base:
                 continue
-            evict_options: list[MemOption] = []
-            if self.options.allow_swap:
-                evict_options.append(MemOption.SWAP)
-            if self.options.allow_recompute:
-                evict_options.append(MemOption.RECOMPUTE)
-            if not evict_options:
-                evict_options = [MemOption.RESIDE]
             for p_num in self.options.split_p_nums:
                 if all(
                     tensor.shape[tensor.split_axes[dim]] < p_num
@@ -1203,39 +1264,80 @@ class CostModel:
                         members.append((tensor, cfg))
                         if plan.config_for(tensor.tensor_id) != cfg:
                             changed = True
-                    if not members or not changed:
-                        continue
-                    probe = self._probe(plan, {
-                        tensor.tensor_id: cfg for tensor, cfg in members
-                    })
-                    dm = self.group_delta_m(members, plan, probe, bottleneck)
-                    if dm <= 0:
-                        continue
-                    dt = 0.0
-                    try:
-                        for tensor, cfg in members:
-                            dt += self.split_delta_t(
-                                tensor, cfg, plan, bottleneck,
-                            )
-                    except PlanningError:
-                        continue
-                    candidates.append(Candidate(
-                        tuple(
-                            (tensor.tensor_id, cfg)
-                            for tensor, cfg in members
-                        ),
-                        dm, dt,
-                        prior=tuple(
-                            (tensor.tensor_id,
-                             plan.config_for(tensor.tensor_id))
-                            for tensor, _ in members
-                        ),
-                    ))
+                    if members and changed:
+                        yield members
+
+    def split_candidates(
+        self, bottleneck: int, plan: Plan, *, rows: bool = False,
+    ) -> list[Candidate] | list[CandidateRow]:
+        """Step 2 of Algorithm 2: split the bottleneck op's tensors.
+
+        Splitting an operation splits its tensors *together*: a group
+        candidate aligns every eligible input/output of the bottleneck op
+        to one (dim, p_num), which is what lets the augmenter form a
+        coherent streaming region (mismatched part counts would force
+        merges and destroy the reuse the split is meant to buy).
+
+        ``rows=True`` returns the groups as candidate-table rows bound to
+        ``bottleneck``, without scoring their ΔM (the table evaluates
+        :meth:`group_delta_m` only for groups that can still win).
+        """
+        if not self.options.allow_split:
+            return []
+        if rows:
+            return self._split_rows(bottleneck, plan)
+        candidates: list[Candidate] = []
+        for members in self._split_groups(bottleneck, plan):
+            probe = self._probe(plan, {
+                tensor.tensor_id: cfg for tensor, cfg in members
+            })
+            dm = self.group_delta_m(members, plan, probe, bottleneck)
+            if dm <= 0:
+                continue
+            dt = 0.0
+            try:
+                for tensor, cfg in members:
+                    dt += self.split_delta_t(tensor, cfg, plan, bottleneck)
+            except PlanningError:
+                continue
+            candidates.append(Candidate(
+                tuple((tensor.tensor_id, cfg) for tensor, cfg in members),
+                dm, dt,
+                prior=tuple(
+                    (tensor.tensor_id, plan.config_for(tensor.tensor_id))
+                    for tensor, _ in members
+                ),
+            ))
         return candidates
 
+    def _split_rows(self, bottleneck: int, plan: Plan) -> list[CandidateRow]:
+        rows: list[CandidateRow] = []
+        for minor, members in enumerate(self._split_groups(bottleneck, plan)):
+            try:
+                parts = tuple(
+                    self._split_part(tensor, cfg, plan)
+                    for tensor, cfg in members
+                )
+            except PlanningError:
+                continue
+            rows.append(CandidateRow(
+                tuple((tensor.tensor_id, cfg) for tensor, cfg in members),
+                tuple(
+                    (tensor.tensor_id, plan.config_for(tensor.tensor_id))
+                    for tensor, _ in members
+                ),
+                row_order(1, 0, minor), bottleneck, bottleneck, (), parts,
+            ))
+        return rows
+
     def regen_candidates(
-        self, bottleneck: int, plan: Plan,
-    ) -> list[Candidate]:
+        self,
+        bottleneck: int,
+        plan: Plan,
+        *,
+        rows: bool = False,
+        tensors: Iterable[int] | None = None,
+    ) -> list[Candidate] | list[CandidateRow]:
         """Split upgrades for evicted tensors whose regeneration window
         covers the bottleneck.
 
@@ -1243,84 +1345,133 @@ class CostModel:
         full size from the prefetch point; upgrading it to swap+split
         streams the pieces just-in-time inside its backward consumer and
         shrinks the window to the streaming depth.
+
+        ``rows=True`` returns candidate-table rows for the members of the
+        static regeneration pool among ``tensors`` (all when None).
         """
         if not self.options.allow_split or not self.options.allow_swap:
             return []
+        pool = self._regen_pool()
+        if rows:
+            if tensors is not None:
+                position = self._regen_position
+                pool = [
+                    pool[i]
+                    for i in sorted(position[t] for t in tensors if t in position)
+                ]
+            return self._regen_rows(plan, pool)
         candidates: list[Candidate] = []
         current_op = self.graph.ops[self.schedule[bottleneck]]
         local = set(current_op.inputs) | set(current_op.outputs)
-        for tensor in self.graph.tensors.values():
+        for _, tensor, timeline in pool:
             tid = tensor.tensor_id
             if tid in local:
                 continue
-            if tensor.kind is not TensorKind.ACTIVATION:
-                continue
-            old_cfg = plan.config_for(tid)
-            if old_cfg.opt is not MemOption.SWAP:
-                continue
-            # Already-split tensors stay eligible: re-splitting to the
-            # consumer's part count repairs a mismatched alignment that
-            # would otherwise force whole-tensor regeneration.
-            if tensor.size_bytes < self.options.min_split_bytes:
-                continue
-            timeline = self.timeline(tid)
-            if timeline is None or not timeline.bwd_uses:
-                continue
-            first_bwd = timeline.bwd_uses[0]
-            if not (first_bwd - self.options.prefetch_ops
+            if not (timeline.bwd_uses[0] - self.options.prefetch_ops
                     <= bottleneck <= timeline.free):
                 continue
-            consumer = self.graph.ops[self.schedule[first_bwd]]
-            producer = tensor.producer
-            if producer is None:
-                continue
-            # Part counts worth trying: the backward consumer's and every
-            # forward consumer's established split (streaming requires
-            # agreement with all of them), then the generic ladder.
-            exec_ps: list[int] = []
-            for use in (first_bwd, *(
-                p for p in timeline.use_positions if p <= timeline.fwd_end
-            )):
-                use_exec = op_exec_split(
-                    self.graph, plan, self.graph.ops[self.schedule[use]],
+            old_cfg = plan.config_for(tid)
+            for new_cfg in self._regen_configs(tensor, timeline, plan):
+                probe = self._probe(plan, {tid: new_cfg})
+                dm = self.group_delta_m(
+                    [(tensor, new_cfg)], plan, probe, bottleneck,
                 )
-                if use_exec is not None and use_exec[1] not in exec_ps:
-                    exec_ps.append(use_exec[1])
-            for dim, axis in tensor.split_axes.items():
-                if not op_supports_split(consumer.op_type, dim):
+                if dm <= 0:
                     continue
-                if not op_supports_split(
-                    self.graph.ops[producer].op_type, dim,
-                ):
+                try:
+                    dt = self.split_delta_t(tensor, new_cfg, plan, bottleneck)
+                except PlanningError:
                     continue
-                p_choices: tuple[int, ...] = tuple(
-                    dict.fromkeys((*exec_ps, *self.options.split_p_nums)),
-                )
-                for p_num in p_choices:
-                    if p_num > tensor.shape[axis]:
-                        continue
-                    new_cfg = TensorConfig(
-                        opt=MemOption.SWAP, p_num=p_num, dim=dim,
-                    )
-                    if new_cfg == old_cfg:
-                        continue
-                    probe = self._probe(plan, {tid: new_cfg})
-                    dm = self.group_delta_m(
-                        [(tensor, new_cfg)], plan, probe, bottleneck,
-                    )
-                    if dm <= 0:
-                        continue
-                    try:
-                        dt = self.split_delta_t(
-                            tensor, new_cfg, plan, bottleneck,
-                        )
-                    except PlanningError:
-                        continue
-                    candidates.append(Candidate(
-                        ((tid, new_cfg),), dm, dt,
-                        prior=((tid, old_cfg),),
-                    ))
+                candidates.append(Candidate(
+                    ((tid, new_cfg),), dm, dt,
+                    prior=((tid, old_cfg),),
+                ))
         return candidates
+
+    def _regen_rows(self, plan: Plan, pool: list) -> list[CandidateRow]:
+        rows: list[CandidateRow] = []
+        for index, tensor, timeline in pool:
+            tid = tensor.tensor_id
+            configs = self._regen_configs(tensor, timeline, plan)
+            if not configs:
+                continue
+            old_cfg = plan.config_for(tid)
+            committed = self.windows(tensor, plan)
+            only = frozenset((tid,))
+            lo = timeline.bwd_uses[0] - self.options.prefetch_ops
+            for minor, new_cfg in enumerate(configs):
+                probe = self.windows(
+                    tensor, _ProbePlan(plan, {tid: new_cfg}), only,
+                )
+                rows.append(CandidateRow(
+                    ((tid, new_cfg),), ((tid, old_cfg),),
+                    row_order(2, index, minor), lo, timeline.free,
+                    committed + _negated(probe),
+                    (self._split_part(tensor, new_cfg, plan),),
+                ))
+        return rows
+
+    def _regen_pool(self) -> list:
+        """(graph position, tensor, timeline) of every tensor the static
+        guards of :meth:`regen_candidates` admit, in graph order."""
+        if self._regen_entries is None:
+            entries = []
+            for index, tensor in enumerate(self.graph.tensors.values()):
+                if tensor.kind is not TensorKind.ACTIVATION:
+                    continue
+                if tensor.size_bytes < self.options.min_split_bytes:
+                    continue
+                if tensor.producer is None:
+                    continue
+                timeline = self.timeline(tensor.tensor_id)
+                if timeline is None or not timeline.bwd_uses:
+                    continue
+                entries.append((index, tensor, timeline))
+            self._regen_entries = entries
+            self._regen_position = {
+                entry[1].tensor_id: i for i, entry in enumerate(entries)
+            }
+        return self._regen_entries
+
+    def _regen_configs(
+        self, tensor: TensorSpec, timeline: TensorTimeline, plan: Plan,
+    ) -> list[TensorConfig]:
+        """Split upgrades of a swapped tensor, in generation order.
+
+        Already-split tensors stay eligible: re-splitting to the
+        consumer's part count repairs a mismatched alignment that would
+        otherwise force whole-tensor regeneration. Part counts worth
+        trying: the backward consumer's and every forward consumer's
+        established split (streaming requires agreement with all of
+        them), then the generic ladder.
+        """
+        old_cfg = plan.config_for(tensor.tensor_id)
+        if old_cfg.opt is not MemOption.SWAP:
+            return []
+        first_bwd = timeline.bwd_uses[0]
+        consumer = self.graph.ops[self.schedule[first_bwd]]
+        producer_type = self.graph.ops[tensor.producer].op_type
+        exec_ps: list[int] = []
+        for use in (first_bwd, *(
+            p for p in timeline.use_positions if p <= timeline.fwd_end
+        )):
+            use_exec = self._exec_split_at(plan, use)
+            if use_exec is not None and use_exec[1] not in exec_ps:
+                exec_ps.append(use_exec[1])
+        p_choices = tuple(dict.fromkeys((*exec_ps, *self.options.split_p_nums)))
+        configs: list[TensorConfig] = []
+        for dim, axis in tensor.split_axes.items():
+            if not op_supports_split(consumer.op_type, dim):
+                continue
+            if not op_supports_split(producer_type, dim):
+                continue
+            for p_num in p_choices:
+                if p_num > tensor.shape[axis]:
+                    continue
+                new_cfg = _intern_config(MemOption.SWAP, p_num, dim)
+                if new_cfg != old_cfg:
+                    configs.append(new_cfg)
+        return configs
 
     def _split_eligible(
         self, op, plan: Plan,
@@ -1357,13 +1508,13 @@ class CostModel:
         ΔT/ΔM comparison decide).
         """
         if tensor.kind is TensorKind.GRAD_ACTIVATION:
-            return TensorConfig(opt=MemOption.RESIDE, p_num=p_num, dim=dim)
+            return _intern_config(MemOption.RESIDE, p_num, dim)
         timeline = self.timeline(tensor.tensor_id)
         if timeline is None:
             return None
         if not timeline.bwd_uses and timeline.free <= timeline.alloc + 1:
             # Short-lived forward tensor: streaming free, no eviction.
-            return TensorConfig(opt=MemOption.RESIDE, p_num=p_num, dim=dim)
+            return _intern_config(MemOption.RESIDE, p_num, dim)
         if evict_opt is MemOption.RESIDE:
             return None
-        return TensorConfig(opt=evict_opt, p_num=p_num, dim=dim)
+        return _intern_config(evict_opt, p_num, dim)

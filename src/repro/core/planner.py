@@ -54,11 +54,11 @@ class PlannerOptions:
     #: "largest" (biggest ΔM first) or "fifo" (earliest-generated tensor
     #: first) — the latter two exist for the victim-selection ablation.
     ordering: str = "ratio"
-    #: Maintain the memory curve and cost-model timings incrementally
-    #: (delta updates per decision) instead of recomputing them from
-    #: scratch after every decision. Produces byte-identical plans; False
-    #: exists as the reference implementation for equivalence tests and
-    #: the planner benchmark.
+    #: Maintain the memory curve, cost-model timings and a persistent
+    #: candidate table incrementally (delta updates per decision) instead
+    #: of recomputing and re-enumerating everything after every decision.
+    #: Produces byte-identical plans; False exists as the reference
+    #: implementation for equivalence tests and the planner benchmark.
     incremental: bool = True
 
 
@@ -275,10 +275,16 @@ class TsplitPlanner:
     ) -> Candidate | None:
         """Steps 1-3 of Algorithm 2: propose, compare, select.
 
+        Incremental mode scores the cost model's persistent candidate
+        table; the reference mode re-enumerates every candidate.
         ``pool``, when given, receives every generated candidate
         (including cycle-guarded ones) for provenance recording; it
         never influences the selection.
         """
+        if self.options.incremental:
+            return cost_model.table.best(
+                bottleneck, plan, tried, self.options.ordering, pool,
+            )
         best: Candidate | None = None
         step1 = cost_model.nonsplit_candidates(bottleneck, plan)
         step2 = cost_model.split_candidates(bottleneck, plan)

@@ -285,6 +285,38 @@ def _contributions(
     return windows
 
 
+def dependency_radius(
+    graph: Graph, tensor_id: int,
+) -> tuple[set[int], set[int]]:
+    """(tensor ids, op ids) whose memory behaviour may read one config.
+
+    A tensor's occupancy windows read its own config, the execution
+    splits of its adjacent ops (which read the configs of *their*
+    inputs and outputs), and the whole-staging predicate at its consumer
+    positions (which also reads the execution splits of the producers of
+    those consumers' inputs). Inverted, a change to ``tensor_id`` can
+    only move the windows of the returned tensors: itself, every tensor
+    sharing an op with it, and every tensor adjacent to a consumer of an
+    output of such an op. The returned ops are the ones whose execution
+    split (and so workspace share) may change. Recompute-chain
+    dependencies are config-dependent and tracked by the callers.
+    """
+    tensor = graph.tensors[tensor_id]
+    first_ops: set[int] = set(tensor.consumers)
+    if tensor.producer is not None:
+        first_ops.add(tensor.producer)
+    ops = set(first_ops)
+    for op_id in first_ops:
+        for out in graph.ops[op_id].outputs:
+            ops.update(graph.tensors[out].consumers)
+    tensors: set[int] = {tensor_id}
+    for op_id in ops:
+        op = graph.ops[op_id]
+        tensors.update(op.inputs)
+        tensors.update(op.outputs)
+    return tensors, ops
+
+
 def simulate_memory(
     graph: Graph,
     schedule: list[int],
@@ -375,19 +407,12 @@ class MemoryCurve:
     planner's greedy loop applies one decision per iteration, so the
     update cost is O(affected span), not O(tensors x steps).
 
-    Correctness rests on a structural dependency radius: a tensor ``u``'s
-    contribution reads (a) its own config, (b) the execution splits of
-    ops adjacent to ``u`` — which depend on configs of *their* adjacent
-    tensors, (c) the whole-staging predicate at ``u``'s consumer
-    positions — which additionally reads the exec splits of the producers
-    of those consumers' inputs, and (d) for RECOMPUTE tensors, the
-    configs queried while building the regeneration chain. Inverting
-    that: when ``t`` changes, the affected set is ``t``, every tensor
-    sharing an op with ``t``, every tensor adjacent to a consumer of an
-    output of an op adjacent to ``t``, plus the recorded chain
-    dependants. All interval bytes are integers (< 2^53), so removal and
-    re-addition are exact and the curve stays byte-identical to a from-
-    scratch :func:`simulate_memory` — asserted by the equivalence tests.
+    Correctness rests on the structural :func:`dependency_radius` of the
+    changed tensor plus, for RECOMPUTE tensors, the recorded configs
+    their regeneration chains queried. All interval bytes are integers
+    (< 2^53), so removal and re-addition are exact and the curve stays
+    byte-identical to a from-scratch :func:`simulate_memory` — asserted
+    by the equivalence tests.
     """
 
     def __init__(
@@ -481,25 +506,11 @@ class MemoryCurve:
 
     def _affected(self, tensor_id: int) -> tuple[set[int], set[int]]:
         """(tensor ids, workspace positions) to re-derive for one change."""
-        graph = self.graph
-        tensor = graph.tensors[tensor_id]
-        first_ops: set[int] = set(tensor.consumers)
-        if tensor.producer is not None:
-            first_ops.add(tensor.producer)
-        ops = set(first_ops)
-        for op_id in first_ops:
-            for out in graph.ops[op_id].outputs:
-                ops.update(graph.tensors[out].consumers)
-        tensors: set[int] = {tensor_id}
-        positions: set[int] = set()
+        tensors, ops = dependency_radius(self.graph, tensor_id)
         position = self.liveness.position
-        for op_id in ops:
-            op = graph.ops[op_id]
-            tensors.update(op.inputs)
-            tensors.update(op.outputs)
-            pos = position.get(op_id)
-            if pos is not None:
-                positions.add(pos)
+        positions = {
+            position[op_id] for op_id in ops if op_id in position
+        }
         tensors.update(self._dep_index.get(tensor_id, ()))
         return tensors, positions
 
@@ -515,39 +526,17 @@ class MemoryCurve:
     def _bump(
         self, windows: list[tuple[int, int, int]], sign: float,
     ) -> None:
-        """Apply interval deltas in one batched scatter-add.
+        """Apply interval deltas to the difference array.
 
         Interval bytes are integers below 2^53, so float accumulation is
-        exact in any order — the batched update stays byte-identical to
-        the former per-window loop. Small batches (incremental plan
-        deltas run a median of ~20 windows) stay on the plain loop,
-        which beats ``np.fromiter`` + ``np.add.at`` fixed costs below
-        ~32 windows; the full-curve build and recompute-chain updates
-        run hundreds to thousands of windows and take the batched path.
+        exact in any order and the curve stays byte-identical to a
+        from-scratch :func:`simulate_memory`.
         """
-        if not windows:
-            return
-        count = len(windows)
-        if count < 32:
-            for start, end, nbytes in windows:
-                value = sign * nbytes
-                self._delta[start] += value
-                self._delta[min(end + 1, self.steps)] -= value
-            return
-        starts = np.fromiter(
-            (w[0] for w in windows), dtype=np.intp, count=count,
-        )
-        ends = np.fromiter(
-            (min(w[1] + 1, self.steps) for w in windows),
-            dtype=np.intp, count=count,
-        )
-        nbytes = np.fromiter(
-            (w[2] for w in windows), dtype=np.float64, count=count,
-        )
-        if sign < 0:
-            nbytes = -nbytes
-        np.add.at(self._delta, starts, nbytes)
-        np.add.at(self._delta, ends, -nbytes)
+        delta, steps = self._delta, self.steps
+        for start, end, nbytes in windows:
+            value = sign * nbytes
+            delta[start] += value
+            delta[min(end + 1, steps)] -= value
 
     def _remove_tensor(self, tid: int) -> tuple[tuple[int, int, int], ...]:
         windows = self._windows.pop(tid, ())

@@ -1,5 +1,8 @@
 """Cost models: ΔM / ΔT for swap, recompute and split (Eq. 2-6)."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.core.cost_model import CostModel, CostModelOptions
@@ -98,6 +101,36 @@ class TestPcieSimulation:
         cm.refresh(swapped)
         assert cm.idle_d2h(0, len(schedule) - 1) < full_idle
         cm.refresh(plan)
+
+    def test_mark_busy_matches_per_request_loop(self, cm_setup):
+        """The vectorised busy accumulation adds the same floats in the
+        same order as distributing each serial transfer op by op."""
+        graph, schedule, cm, plan = cm_setup
+        begin, steps = cm.op_begin, len(schedule)
+        rng = random.Random(7)
+        starts, ends = [], []
+        clock = -begin[-1] / 10  # the first transfers start before op 0
+        for _ in range(200):
+            # Queued back to back or after a gap; some end past the last
+            # op, several short ones share an op.
+            if rng.random() < 0.3:
+                clock = max(clock, rng.uniform(-0.1, 1.2) * begin[-1])
+            starts.append(clock)
+            clock += rng.uniform(0, 0.05) * begin[-1]
+            ends.append(clock)
+        expected = np.zeros(steps)
+        for start, end in zip(starts, ends):
+            lo = int(np.searchsorted(begin, start, side="right") - 1)
+            pos = max(0, min(lo, steps - 1))
+            while pos < steps and begin[pos] < end:
+                seg = min(end, begin[pos + 1]) - max(start, begin[pos])
+                if seg > 0:
+                    expected[pos] += seg
+                pos += 1
+        busy = np.zeros(steps)
+        cm._mark_busy(busy, np.array(starts), np.array(ends))
+        assert expected.any()
+        np.testing.assert_array_equal(busy, expected)
 
     def test_idle_empty_range(self, cm_setup):
         _, _, cm, _ = cm_setup

@@ -13,10 +13,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.cost_model import CostModelOptions
 from repro.core.plan import MemOption, Plan, TensorConfig
 from repro.core.planner import PlannerOptions, TsplitPlanner
-from repro.core.simulate import MemoryCurve, simulate_memory
+from repro.core.simulate import MemoryCurve, plan_peak_memory, simulate_memory
+from repro.errors import PlanningError
 from repro.graph.scheduler import dfs_schedule
 from repro.hardware.gpu import GPU_PRESETS
 from repro.models.random_net import build_random_cnn
@@ -129,3 +132,64 @@ class TestPlannerModesAgree:
                 result.peak_memory,
             )
         assert outcomes[True] == outcomes[False]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        ordering=st.sampled_from(["ratio", "largest", "fifo"]),
+        allow_split=st.booleans(),
+        evict=st.sampled_from([(True, True), (True, False), (False, True)]),
+        budget_frac=st.sampled_from([0.55, 0.8]),
+    )
+    def test_random_nets_agree_with_reference(
+        self, seed, ordering, allow_split, evict, budget_frac,
+    ):
+        """The candidate table picks exactly what re-enumerating every
+        candidate picks — decisions, configs, peak and every decision's
+        full rejected pool — on random chain/diamond/branchy nets under
+        every victim ordering, with and without splitting, swapping or
+        recomputing."""
+        graph = build_random_cnn(seed)
+        baseline = plan_peak_memory(graph, dfs_schedule(graph), Plan())
+        gpu = GPU_PRESETS["v100_16gb"].with_memory(int(baseline * budget_frac))
+        allow_swap, allow_recompute = evict
+        cost = CostModelOptions(
+            min_split_bytes=0, min_evict_bytes=0, allow_split=allow_split,
+            allow_swap=allow_swap, allow_recompute=allow_recompute,
+        )
+        outcomes = [
+            _planned(graph, gpu, PlannerOptions(
+                cost=cost, ordering=ordering, incremental=incremental,
+            ))
+            for incremental in (True, False)
+        ]
+        assert outcomes[0] == outcomes[1]
+
+
+class _PoolRecordingPlanner(TsplitPlanner):
+    """Records every decision's full rejected pool (provenance keeps
+    only the best few)."""
+
+    def _rejections(self, accepted, pool, tried):
+        rejected = super()._rejections(accepted, pool, tried)
+        self.pools.append([
+            (c.configs, c.prior, c.delta_m, c.delta_t, reason)
+            for c, reason in rejected
+        ])
+        return rejected
+
+
+def _planned(graph, gpu, options):
+    planner = _PoolRecordingPlanner(gpu, options)
+    planner.pools = []
+    try:
+        result = planner.plan(graph, explain=True)
+    except PlanningError as exc:
+        return str(exc), planner.pools
+    return (
+        [(d.configs, d.prior, d.delta_m, d.delta_t) for d in result.decisions],
+        dict(result.plan.configs),
+        result.peak_memory,
+        result.explanation.decisions,
+        planner.pools,
+    )
